@@ -16,7 +16,10 @@
 //
 // Reported per config: committed batches per second, fsyncs per commit
 // (WalStats counts durability points even when RTB_NO_FSYNC suppresses
-// the syscall, so the metric is stable on CI), and log bytes per commit.
+// the syscall, so the metric is stable on CI), log bytes per commit and
+// per op, the WAL's own time per batch (building page records at log
+// points; writing and syncing groups), and the WAL overhead per batch:
+// the row's time per batch minus the same run's wal_off time per batch.
 // The acceptance criterion (asserted when the WAL is compiled in): a
 // window >= 8 reaches at most half the fsyncs per commit of window 1.
 
@@ -43,6 +46,9 @@ struct Measurement {
   double commits_per_sec = 0.0;
   double fsyncs_per_commit = 0.0;
   double wal_bytes_per_commit = 0.0;
+  double wal_bytes_per_op = 0.0;
+  double log_us_per_batch = 0.0;
+  double sync_us_per_batch = 0.0;
   uint64_t commits = 0;
   uint64_t fsyncs = 0;
   uint64_t wal_records = 0;
@@ -132,6 +138,8 @@ Measurement RunVariant(const std::string& path,
       m.fsyncs = total.fsyncs - warm.fsyncs;
       m.wal_records = total.records - warm.records;
       m.wal_bytes = total.bytes - warm.bytes;
+      m.log_us_per_batch = static_cast<double>(total.log_ns - warm.log_ns);
+      m.sync_us_per_batch = static_cast<double>(total.sync_ns - warm.sync_ns);
     }
     RTB_CHECK(pool->Close().ok());
     if (wal != nullptr) RTB_CHECK(wal->Close().ok());
@@ -153,6 +161,10 @@ Measurement RunVariant(const std::string& path,
       m.commits > 0 ? static_cast<double>(m.fsyncs) / m.commits : 0.0;
   m.wal_bytes_per_commit =
       m.commits > 0 ? static_cast<double>(m.wal_bytes) / m.commits : 0.0;
+  m.wal_bytes_per_op =
+      static_cast<double>(m.wal_bytes) / static_cast<double>(measured_ops);
+  m.log_us_per_batch /= batches * 1e3;
+  m.sync_us_per_batch /= batches * 1e3;
   RTB_CHECK(store->get()->Close().ok());
   store->reset();
   std::remove(path.c_str());
@@ -202,13 +214,24 @@ int Run(int argc, char** argv) {
   report.meta().PutBool("durable_sync", storage::DurableSyncActive());
 
   Table table({"config", "batches/s", "commits/s", "fsyncs/commit",
-               "log bytes/commit"});
+               "log bytes/commit", "log bytes/op", "overhead us/batch",
+               "log us/batch", "sync us/batch"});
+  double off_us_per_batch = 0.0;
   auto add = [&](const std::string& name, const Measurement& m) {
+    // Against the wal_off row of this same run, so host drift between runs
+    // cancels out of the difference.
+    const double overhead_us =
+        m.batches_per_sec > 0.0 ? 1e6 / m.batches_per_sec - off_us_per_batch
+                                : 0.0;
     JsonDict& row = report.AddConfig(name);
     row.PutNum("batches_per_sec", m.batches_per_sec);
     row.PutNum("commits_per_sec", m.commits_per_sec);
     row.PutNum("fsyncs_per_commit", m.fsyncs_per_commit);
     row.PutNum("wal_bytes_per_commit", m.wal_bytes_per_commit);
+    row.PutNum("wal_bytes_per_op", m.wal_bytes_per_op);
+    row.PutNum("wal_overhead_us_per_batch", overhead_us);
+    row.PutNum("wal_log_us_per_batch", m.log_us_per_batch);
+    row.PutNum("wal_sync_us_per_batch", m.sync_us_per_batch);
     row.PutInt("commits", m.commits);
     row.PutInt("fsyncs", m.fsyncs);
     row.PutInt("wal_records", m.wal_records);
@@ -217,11 +240,17 @@ int Run(int argc, char** argv) {
     table.AddRow({name, Table::Num(m.batches_per_sec, 0),
                   Table::Num(m.commits_per_sec, 0),
                   Table::Num(m.fsyncs_per_commit, 3),
-                  Table::Num(m.wal_bytes_per_commit, 0)});
+                  Table::Num(m.wal_bytes_per_commit, 0),
+                  Table::Num(m.wal_bytes_per_op, 1),
+                  Table::Num(overhead_us, 1),
+                  Table::Num(m.log_us_per_batch, 1),
+                  Table::Num(m.sync_us_per_batch, 1)});
   };
 
   const Measurement off =
       RunVariant(path, ops, fanout, /*window=*/0, batch, buffer_pages, warmup);
+  off_us_per_batch = off.batches_per_sec > 0.0 ? 1e6 / off.batches_per_sec
+                                               : 0.0;
   add("wal_off", off);
 
   if (storage::WalAvailable()) {

@@ -355,6 +355,8 @@ Result<RunReport> Run(const ExperimentSpec& spec) {
     report.store_io.wal_bytes = ws.bytes;
     report.store_io.wal_commits = ws.commits;
     report.store_io.wal_fsyncs = ws.fsyncs;
+    report.store_io.wal_log_ns = ws.log_ns;
+    report.store_io.wal_sync_ns = ws.sync_ns;
   }
   report.async_io =
       storage::AsyncReadEngine::Instance().stats().Delta(async_before);
@@ -416,6 +418,8 @@ report::JsonDict RunReport::ToJsonDict() const {
     store.PutInt("wal_bytes", store_io.wal_bytes);
     store.PutInt("wal_commits", store_io.wal_commits);
     store.PutInt("wal_fsyncs", store_io.wal_fsyncs);
+    store.PutInt("wal_log_ns", store_io.wal_log_ns);
+    store.PutInt("wal_sync_ns", store_io.wal_sync_ns);
   }
   doc.PutDict("store", store);
 

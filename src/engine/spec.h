@@ -74,9 +74,10 @@ struct TreeSpec {
 /// carries its own file.
 /// Write-ahead-log configuration (storage/wal.h). Enabling it switches the
 /// run's pool to the no-force discipline: each drained update batch logs
-/// page images plus one commit record, evictions ensure WAL-durability
-/// before writeback, and the store is opened with recovery (replay a
-/// committed log suffix, discard a torn tail). Requires backend "file".
+/// the byte runs it changed in each page plus one commit record, evictions
+/// ensure WAL-durability before writeback, and the store is opened with
+/// recovery (replay a committed log suffix, discard a torn tail). Requires
+/// backend "file".
 struct WalSpec {
   bool enabled = false;
   std::string path;  // Log file; empty = storage.path + ".wal".

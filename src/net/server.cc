@@ -7,6 +7,7 @@
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -130,33 +131,30 @@ Status Server::Serve() {
   while (true) {
     const bool stopping = shutdown_requested_.load(std::memory_order_acquire);
     // The coalescing window: with requests queued, sleep only until the
-    // oldest one's deadline; idle, sleep until a socket or the wake pipe
-    // fires. Shutdown drains whatever is queued immediately.
-    int timeout_ms = -1;
+    // oldest one's deadline, to the nanosecond (a window below 1 ms must
+    // not round up to a whole millisecond); idle, sleep until a socket or
+    // the wake pipe fires. Shutdown drains whatever is queued immediately.
+    timespec timeout{0, 0};
+    const timespec* wait = nullptr;  // Null: block until an event.
     if (!queue_.empty()) {
-      if (stopping || queue_.size() >= options_.max_batch) {
-        timeout_ms = 0;
-      } else {
+      wait = &timeout;
+      if (!stopping && queue_.size() < options_.max_batch) {
         const auto deadline =
             queue_.front().admitted + std::chrono::microseconds(
                                           options_.max_wait_us);
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) {
-          timeout_ms = 0;
-        } else {
-          const auto left = std::chrono::duration_cast<std::chrono::
-              milliseconds>(deadline - now).count();
-          // Round up so a sub-millisecond remainder does not busy-spin.
-          timeout_ms = static_cast<int>(left) + 1;
+        const auto left = std::chrono::duration_cast<std::chrono::
+            nanoseconds>(deadline - std::chrono::steady_clock::now()).count();
+        if (left > 0) {
+          timeout.tv_sec = static_cast<time_t>(left / 1000000000);
+          timeout.tv_nsec = static_cast<long>(left % 1000000000);
         }
       }
     }
 
-    const int n =
-        epoll_wait(epoll_fd_, events, 128, timeout_ms);
+    const int n = epoll_pwait2(epoll_fd_, events, 128, wait, nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("epoll_wait");
+      return Errno("epoll_pwait2");
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
@@ -683,6 +681,8 @@ report::JsonDict Server::StatsJson() const {
     wal.PutInt("bytes", ws.bytes);
     wal.PutInt("commits", ws.commits);
     wal.PutInt("fsyncs", ws.fsyncs);
+    wal.PutInt("log_ns", ws.log_ns);
+    wal.PutInt("sync_ns", ws.sync_ns);
     doc.PutDict("wal", std::move(wal));
   }
   return doc;

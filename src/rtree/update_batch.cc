@@ -96,8 +96,8 @@ Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
     }
   }
   // Batch boundary = commit boundary: describe the batch in the log (an
-  // opaque record recovery skips — the page images carry redo/undo), then
-  // let the pool image its modified pages and write ONE commit record. No
+  // opaque record recovery skips — the page records carry redo/undo), then
+  // let the pool log its modified pages and write ONE commit record. No
   // data-file I/O happens here (no-force); a crash from now until the next
   // commit rolls the tree back to exactly this point.
   if (storage::WalWriter* wal = tree_->pool_->attached_wal();

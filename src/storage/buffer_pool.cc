@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "storage/async_io.h"
-#include "storage/wal.h"
 
 namespace rtb::storage {
 
@@ -165,41 +164,82 @@ Result<FrameId> BufferPool::AcquireFrame() {
   return victim;
 }
 
+void BufferPool::AttachWal(WalWriter* wal) {
+  // Shadows are relative to the log they will be diffed into.
+  RTB_DCHECK(wal_dirty_frames_.empty());
+  wal_ = wal;
+  if (wal != nullptr && zero_page_.empty()) zero_page_.assign(page_size(), 0);
+}
+
+void BufferPool::MarkWalDirty(FrameId f, uint8_t* shadow) {
+  FrameMeta& m = frames_[f];
+  RTB_DCHECK(!m.wal_dirty);
+  m.wal_dirty = true;
+  m.shadow = shadow;
+  m.wal_slot = static_cast<uint32_t>(wal_dirty_frames_.size());
+  wal_dirty_frames_.push_back(f);
+}
+
+void BufferPool::ClearWalDirty(FrameId f) {
+  FrameMeta& m = frames_[f];
+  RTB_DCHECK(m.wal_dirty);
+  const FrameId last = wal_dirty_frames_.back();
+  wal_dirty_frames_[m.wal_slot] = last;
+  frames_[last].wal_slot = m.wal_slot;
+  wal_dirty_frames_.pop_back();
+  if (m.shadow != zero_page_.data()) free_shadows_.push_back(m.shadow);
+  m.shadow = nullptr;
+  m.wal_dirty = false;
+}
+
+void BufferPool::WalLogFrames(const FrameId* frames, size_t n) {
+  wal_deltas_.clear();
+  wal_delta_frames_.clear();
+  for (size_t k = 0; k < n; ++k) {
+    const FrameMeta& m = frames_[frames[k]];
+    if (!m.wal_dirty) continue;
+    PageDelta delta;
+    delta.page_id = m.page_id;
+    delta.before = m.shadow;
+    delta.after = FrameData(frames[k]);
+    wal_deltas_.push_back(delta);
+    wal_delta_frames_.push_back(frames[k]);
+  }
+  if (wal_deltas_.empty()) return;
+  wal_->AppendPageDeltas(wal_deltas_.data(), wal_deltas_.size(), page_size());
+  for (size_t k = 0; k < wal_deltas_.size(); ++k) {
+    const FrameId f = wal_delta_frames_[k];
+    // An unchanged page logged nothing and keeps its earlier record's LSN.
+    if (wal_deltas_[k].lsn != kNoLsn) frames_[f].lsn = wal_deltas_[k].lsn;
+    ClearWalDirty(f);
+  }
+}
+
 Status BufferPool::WalBeforeWriteback(const FrameId* frames, size_t n) {
   if (wal_ == nullptr) return Status::OK();
+  // Steal: a page leaving the pool mid-batch has its current bytes logged —
+  // they become committed state if the batch's commit record lands, and
+  // the same record's old bytes undo them if not.
+  WalLogFrames(frames, n);
   Lsn max_lsn = kNoLsn;
   for (size_t k = 0; k < n; ++k) {
-    FrameMeta& m = frames_[frames[k]];
-    if (m.wal_dirty) {
-      // Steal: the page leaves the pool mid-batch, so its current content
-      // must be in the log — it becomes committed state if the batch's
-      // commit record lands, and the already-logged before-image undoes it
-      // if not.
-      m.lsn = wal_->AppendPageImage(m.page_id, FrameData(frames[k]),
-                                    page_size());
-      m.wal_dirty = false;
-    }
-    max_lsn = std::max(max_lsn, m.lsn);
+    max_lsn = std::max(max_lsn, frames_[frames[k]].lsn);
   }
-  // WAL-before-data: every image covering these pages is durable before a
+  // WAL-before-data: every record covering these pages is durable before a
   // single data byte is overwritten.
   return wal_->EnsureDurable(max_lsn);
 }
 
-void BufferPool::WalLogDirtyImages() {
-  if (wal_ == nullptr) return;
-  for (FrameId f = 0; f < frames_.size(); ++f) {
-    FrameMeta& m = frames_[f];
-    if (m.in_use && m.wal_dirty) {
-      m.lsn = wal_->AppendPageImage(m.page_id, FrameData(f), page_size());
-      m.wal_dirty = false;
-    }
-  }
+void BufferPool::WalLogDirtyFrames() {
+  if (wal_ == nullptr || wal_dirty_frames_.empty()) return;
+  // WalLogFrames shrinks the set as it goes, so walk a copy.
+  wb_frames_.assign(wal_dirty_frames_.begin(), wal_dirty_frames_.end());
+  WalLogFrames(wb_frames_.data(), wb_frames_.size());
 }
 
 Status BufferPool::WalCommit() {
   if (wal_ == nullptr) return Status::OK();
-  WalLogDirtyImages();
+  WalLogDirtyFrames();
   RTB_ASSIGN_OR_RETURN(Lsn lsn, wal_->Commit(store_->num_pages()));
   (void)lsn;  // Durability is the writer's business (group-commit window).
   return Status::OK();
@@ -207,7 +247,7 @@ Status BufferPool::WalCommit() {
 
 Status BufferPool::WalCheckpoint() {
   if (wal_ == nullptr) return Status::OK();
-  // FlushAll logs images for anything still wal-dirty and ensures
+  // FlushAll logs records for anything still wal-dirty and ensures
   // durability before its writes, so the store ends up a superset of the
   // log; Sync makes it durable; then the log can restart empty.
   RTB_RETURN_IF_ERROR(FlushAll());
@@ -216,11 +256,9 @@ Status BufferPool::WalCheckpoint() {
 }
 
 void BufferPool::DiscardAll() {
+  while (!wal_dirty_frames_.empty()) ClearWalDirty(wal_dirty_frames_.back());
   for (FrameMeta& m : frames_) {
-    if (m.in_use) {
-      m.dirty = false;
-      m.wal_dirty = false;
-    }
+    if (m.in_use) m.dirty = false;
   }
 }
 
@@ -542,12 +580,20 @@ Result<PageGuard> BufferPool::FetchMutable(PageId id) {
   RTB_ASSIGN_OR_RETURN(FrameId f, PinPage(id));
   FrameMeta& meta = frames_[f];
   if (wal_ != nullptr && !meta.wal_dirty) {
-    // First modification of this page since its last logged image: capture
-    // the undo record now, while the frame still holds the pre-batch (or
-    // pre-steal) content. Conservative — a FetchMutable that never writes
-    // logs one redundant image.
-    meta.lsn = wal_->AppendBeforeImage(id, FrameData(f), page_size());
-    meta.wal_dirty = true;
+    // First modification of this page since its last log point: keep the
+    // content as of that point, which the next log point diffs against. A
+    // FetchMutable that never writes then logs nothing.
+    uint8_t* shadow;
+    if (free_shadows_.empty()) {
+      shadows_.push_back(
+          std::make_unique_for_overwrite<uint8_t[]>(page_size()));
+      shadow = shadows_.back().get();
+    } else {
+      shadow = free_shadows_.back();
+      free_shadows_.pop_back();
+    }
+    std::memcpy(shadow, FrameData(f), page_size());
+    MarkWalDirty(f, shadow);
   }
   return PageGuard(this, Frame{id, FrameData(f), f}, /*mark_dirty=*/true);
 }
@@ -565,10 +611,12 @@ Result<FrameId> BufferPool::InstallNewPage(PageId id) {
   meta.permanent = false;
   meta.dirty = true;
   meta.in_use = true;
-  // A fresh page needs no before-image: undo of an uncommitted allocation
-  // is the recovery-time truncation to the committed page count.
-  meta.wal_dirty = wal_ != nullptr;
   std::fill(FrameData(f), FrameData(f) + page_size(), uint8_t{0});
+  // A fresh page's last-logged content is the store's zero fill, so it
+  // diffs against the shared zero page and needs no copy. Undo of an
+  // uncommitted allocation is the recovery-time truncation to the
+  // committed page count.
+  if (wal_ != nullptr) MarkWalDirty(f, zero_page_.data());
   page_table_.Insert(id, f);
   policy_->RecordAccess(f);
   policy_->SetEvictable(f, false);

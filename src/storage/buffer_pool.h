@@ -26,12 +26,11 @@
 #include "storage/page_store.h"
 #include "storage/page_table.h"
 #include "storage/replacement.h"
+#include "storage/wal.h"
 #include "util/result.h"
 #include "util/status.h"
 
 namespace rtb::storage {
-
-class WalWriter;
 
 /// Hit/miss counters for a page cache.
 struct BufferStats {
@@ -212,11 +211,12 @@ class PageCache {
 
   /// Attaches a write-ahead log (storage/wal.h), switching the cache to the
   /// no-force + WAL-before-writeback discipline: the first modification of
-  /// a page since the last commit logs its before-image, commits log
-  /// after-images instead of forcing pages out, and any writeback (eviction
-  /// steal, FlushAll) first ensures the page's latest logged image is
-  /// durable. `wal` is not owned and must outlive the cache. Default: the
-  /// cache has no WAL and behaves exactly as before (the seam off).
+  /// a page since its last log point keeps a copy of the page (its shadow),
+  /// commits log the bytes each page changed against its shadow instead of
+  /// forcing pages out, and any writeback (eviction steal, FlushAll) first
+  /// logs the page the same way and ensures its latest record is durable.
+  /// `wal` is not owned and must outlive the cache. Default: the cache has
+  /// no WAL and behaves exactly as before (the seam off).
   virtual void AttachWal(WalWriter* wal) { (void)wal; }
 
   /// The writer passed to AttachWal, or null when the cache runs without a
@@ -224,10 +224,10 @@ class PageCache {
   /// logical records to the same log their WalCommit targets.
   virtual WalWriter* attached_wal() const { return nullptr; }
 
-  /// Commit point for the attached WAL: logs an after-image for every page
-  /// modified since the last commit and appends one commit record (made
-  /// durable per the writer's group-commit window). Pages stay dirty in the
-  /// pool — no data-file I/O here (no-force). A no-op without a WAL.
+  /// Commit point for the attached WAL: logs the changed bytes of every
+  /// page modified since its last log point and appends one commit record
+  /// (made durable per the writer's group-commit window). Pages stay dirty
+  /// in the pool — no data-file I/O here (no-force). A no-op without a WAL.
   virtual Status WalCommit() { return Status::OK(); }
 
   /// Checkpoint: flush every dirty page (WAL-first), fsync the store, then
@@ -320,7 +320,7 @@ class BufferPool final : public PageCache {
   Status FlushAll() override;
   Status EvictAll() override;
 
-  void AttachWal(WalWriter* wal) override { wal_ = wal; }
+  void AttachWal(WalWriter* wal) override;
   WalWriter* attached_wal() const override { return wal_; }
   Status WalCommit() override;
   Status WalCheckpoint() override;
@@ -347,10 +347,15 @@ class BufferPool final : public PageCache {
 
   struct FrameMeta {
     PageId page_id = kInvalidPageId;
-    // LSN of the frame's latest logged WAL image (before- or after-image);
-    // writeback must EnsureDurable up to here first. kNoLsn when the page
-    // was never logged (WAL off, or content unchanged since the store).
+    // LSN of the frame's latest WAL page record; writeback must
+    // EnsureDurable up to here first. kNoLsn when the page was never logged
+    // (WAL off, or content unchanged since the store).
     Lsn lsn = kNoLsn;
+    // While wal_dirty: the page as of its last log point, to diff against
+    // at the next one (a pooled buffer, or zero_page_ for a new page).
+    uint8_t* shadow = nullptr;
+    // While wal_dirty: this frame's index in wal_dirty_frames_.
+    uint32_t wal_slot = 0;
     // Plain counter: every access is serialized — externally for a bare
     // BufferPool (single-threaded by contract), by the owning shard's mutex
     // for ShardedBufferPool (every entry point, including PageGuard
@@ -360,12 +365,13 @@ class BufferPool final : public PageCache {
     bool permanent = false;
     bool dirty = false;
     bool in_use = false;
-    // Modified since the last WAL image of this frame was logged (commit,
-    // steal or flush). Set at the first FetchMutable since then — which is
-    // also when the before-image is captured — and at NewPage.
+    // Modified since the last log point of this frame (commit, steal or
+    // flush). Set at the first FetchMutable since then — which is also when
+    // the shadow is taken — and at NewPage.
     bool wal_dirty = false;
 
     void Reset() {
+      RTB_DCHECK(!wal_dirty);
       page_id = kInvalidPageId;
       lsn = kNoLsn;
       pin_count = 0;
@@ -410,6 +416,14 @@ class BufferPool final : public PageCache {
 
   // Pins the page into a frame, reading it on a miss. Core of Fetch.
   Result<FrameId> PinPage(PageId id);
+
+  // Whether a frame for `id` is at hand: the page is resident, or a frame
+  // is free or evictable. False exactly when PinPage(id) (or, for a new
+  // id, InstallNewPage) would fail with ResourceExhausted.
+  bool CanPin(PageId id) const {
+    return page_table_.Contains(id) || !free_frames_.empty() ||
+           policy_->NumEvictable() > 0;
+  }
 
   // Like PinPage, but a miss installs the frame (pinned, in the page table)
   // without reading from the store; `*pending` is set and the caller must
@@ -458,18 +472,26 @@ class BufferPool final : public PageCache {
   // the staged entries to the caller.
   Status CollectPendingRead(uint64_t token, std::vector<BatchEntry>* entries);
 
-  // WAL pre-step of any writeback: logs a fresh after-image for every
-  // wal-dirty frame of the set (clearing the flag — the image now reflects
-  // the content being written) and blocks until the latest image of every
-  // frame is durable. A no-op without an attached WAL. Used by
-  // WritebackVictim and FlushAll before their store writes.
+  // WAL pre-step of any writeback: logs every wal-dirty frame of the set
+  // (WalLogFrames) and blocks until the latest record of every frame is
+  // durable. A no-op without an attached WAL. Used by WritebackVictim and
+  // FlushAll before their store writes.
   Status WalBeforeWriteback(const FrameId* frames, size_t n);
 
-  // Logs an after-image for every wal-dirty frame (clearing the flags)
-  // without forcing durability — the front half of a commit. Shared with
-  // ShardedBufferPool, whose WalCommit runs this per shard and then writes
-  // one commit record for all of them.
-  void WalLogDirtyImages();
+  // A log point for the wal-dirty frames among frames[0..n): one page
+  // record per frame whose bytes differ from its shadow, all appended
+  // under one writer lock, then the frames leave the wal-dirty set.
+  void WalLogFrames(const FrameId* frames, size_t n);
+
+  // Logs every wal-dirty frame without forcing durability — the front half
+  // of a commit. Shared with ShardedBufferPool, whose WalCommit runs this
+  // per shard and then writes one commit record for all of them.
+  void WalLogDirtyFrames();
+
+  // Enters frame `f` into the wal-dirty set with `shadow` as its
+  // last-logged content / takes it out, recycling its shadow buffer.
+  void MarkWalDirty(FrameId f, uint8_t* shadow);
+  void ClearWalDirty(FrameId f);
 
   uint8_t* FrameData(FrameId f) {
     return buffer_.data() + static_cast<size_t>(f) * page_size();
@@ -478,6 +500,15 @@ class BufferPool final : public PageCache {
   PageStore* store_;
   // Not owned; null = WAL discipline off (the historical write path).
   WalWriter* wal_ = nullptr;
+  // WAL state, all empty without a WAL: the wal-dirty frames (unordered),
+  // page-sized shadow buffers (owned, and the free ones for reuse), the
+  // all-zero shadow of a new page, and the scratch of a log point.
+  std::vector<FrameId> wal_dirty_frames_;
+  std::vector<std::unique_ptr<uint8_t[]>> shadows_;
+  std::vector<uint8_t*> free_shadows_;
+  std::vector<uint8_t> zero_page_;
+  std::vector<PageDelta> wal_deltas_;
+  std::vector<FrameId> wal_delta_frames_;
   size_t capacity_;
   std::unique_ptr<ReplacementPolicy> policy_;
   std::vector<uint8_t> buffer_;

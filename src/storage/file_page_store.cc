@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <vector>
 
 #include "storage/wal.h"
@@ -417,7 +418,7 @@ Status FilePageStore::ResizeToPages(PageId n) {
     }
   } else {
     // Committed allocations whose zero-fill write may not have completed:
-    // extend with zeros, then the committed after-images overwrite them.
+    // extend with zeros, then the committed page records overwrite them.
     std::vector<uint8_t> zeros(page_size_, 0);
     for (PageId id = current; id < n; ++id) {
       if (!PwriteFull(fd_, zeros.data(), page_size_,
@@ -450,26 +451,41 @@ Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenWithRecovery(
   // are written, so the last checkpoint is normally record 0 — but recovery
   // replays from the *last* one regardless, which also covers a log that
   // somehow accreted several.
-  std::vector<WalRecord> records;
+  std::vector<WalRecord> records;  // Page records only.
   WalRecord rec;
-  size_t restart = 0;  // Index of the record after the last checkpoint.
+  size_t restart = 0;  // Index of the first page record after a checkpoint.
   Lsn last_commit = kNoLsn;
   // Baseline committed page count: the on-disk header (durable as of the
   // last store Sync), overridden by the last checkpoint, overridden by the
   // last commit.
   uint64_t committed_pages = store->num_pages();
   while ((*reader)->Next(&rec)) {
-    if (rec.type == WalRecordType::kCheckpoint) {
-      restart = records.size() + 1;
-      committed_pages = rec.num_pages;
-    } else if (rec.type == WalRecordType::kCommit) {
-      last_commit = rec.lsn;
-      committed_pages = rec.num_pages;
+    ++rep.records_scanned;
+    switch (rec.type) {
+      case WalRecordType::kCheckpoint:
+        restart = records.size();
+        committed_pages = rec.num_pages;
+        break;
+      case WalRecordType::kCommit:
+        last_commit = rec.lsn;
+        committed_pages = rec.num_pages;
+        break;
+      case WalRecordType::kLogicalUpdate:
+        break;
+      case WalRecordType::kPageImage:
+      case WalRecordType::kBeforeImage:
+      case WalRecordType::kPageDelta:
+        records.push_back(std::move(rec));
+        break;
+      default:
+        // A whole frame with a good CRC is not a torn tail: a type this
+        // binary does not know means a log it cannot replay safely.
+        return Status::Corruption(wal_path + ": unknown wal record type " +
+                                  std::to_string(static_cast<uint32_t>(
+                                      rec.type)));
     }
-    records.push_back(std::move(rec));
   }
   rep.wal_found = true;
-  rep.records_scanned = records.size();
   rep.tail_torn = (*reader)->torn_tail();
   rep.last_commit_lsn = last_commit;
 
@@ -481,33 +497,58 @@ Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenWithRecovery(
     RTB_RETURN_IF_ERROR(
         store->ResizeToPages(static_cast<PageId>(committed_pages)));
   }
-  // Redo: committed after-images in LSN (= file) order. Images the store
-  // already has are rewritten — idempotent and simpler than tracking page
-  // LSNs on disk.
+  // One apply loop over an in-memory image of every touched page: redo
+  // the new bytes of committed page records in LSN (= file) order, then
+  // undo the old bytes of the uncommitted suffix in reverse, so the oldest
+  // uncommitted record's old bytes — the committed content — land last.
+  // Each run holds absolute bytes and replay starts at the checkpoint, so
+  // every byte a torn data-page write could have changed since then lies
+  // in a run of a record that was durable before that write. Legacy
+  // full-page records decode as one whole-page run with one side.
   const size_t stride = store->page_size();
+  std::map<PageId, std::vector<uint8_t>> pages;
+  std::vector<WalRun> runs;
+  const auto apply = [&](const WalRecord& r, bool redo) -> Status {
+    Status decoded = DecodePageRuns(r, stride, &runs);
+    if (!decoded.ok()) {
+      return Status::Corruption(wal_path + ": " + decoded.message());
+    }
+    if (r.page_id >= committed_pages) {
+      if (redo) {
+        return Status::Corruption(wal_path +
+                                  ": committed record past the page count");
+      }
+      return Status::OK();  // Truncated away above.
+    }
+    uint8_t* page = nullptr;
+    for (const WalRun& run : runs) {
+      const uint8_t* bytes = redo ? run.new_bytes : run.old_bytes;
+      if (bytes == nullptr) continue;
+      if (page == nullptr) {
+        auto [it, fresh] = pages.try_emplace(r.page_id);
+        if (fresh) {
+          it->second.resize(stride);
+          RTB_RETURN_IF_ERROR(store->Read(r.page_id, it->second.data()));
+        }
+        page = it->second.data();
+      }
+      std::memcpy(page + run.offset, bytes, run.length);
+    }
+    if (page != nullptr) ++(redo ? rep.redo_pages : rep.undo_pages);
+    return Status::OK();
+  };
   for (size_t i = restart; i < records.size(); ++i) {
-    const WalRecord& r = records[i];
-    if (r.type != WalRecordType::kPageImage || r.lsn > last_commit) continue;
-    if (r.payload.size() != stride || r.page_id >= committed_pages) {
-      return Status::Corruption(wal_path + ": malformed page image record");
+    if (records[i].lsn <= last_commit) {
+      RTB_RETURN_IF_ERROR(apply(records[i], /*redo=*/true));
     }
-    RTB_RETURN_IF_ERROR(store->Write(r.page_id, r.payload.data()));
-    ++rep.redo_pages;
   }
-  // Undo: the uncommitted suffix's before-images in reverse order. A page
-  // dirtied, stolen and re-dirtied logs several before-images; reverse
-  // application makes the earliest (the committed content) land last.
   for (size_t i = records.size(); i > restart; --i) {
-    const WalRecord& r = records[i - 1];
-    if (r.type != WalRecordType::kBeforeImage || r.lsn <= last_commit) {
-      continue;
+    if (records[i - 1].lsn > last_commit) {
+      RTB_RETURN_IF_ERROR(apply(records[i - 1], /*redo=*/false));
     }
-    if (r.payload.size() != stride) {
-      return Status::Corruption(wal_path + ": malformed before-image record");
-    }
-    if (r.page_id >= committed_pages) continue;  // Truncated away above.
-    RTB_RETURN_IF_ERROR(store->Write(r.page_id, r.payload.data()));
-    ++rep.undo_pages;
+  }
+  for (const auto& [id, bytes] : pages) {
+    RTB_RETURN_IF_ERROR(store->Write(id, bytes.data()));
   }
   // The recovered state must be durable before the log that produced it is
   // discarded.

@@ -67,6 +67,8 @@ struct IoStats {
   uint64_t wal_bytes = 0;
   uint64_t wal_commits = 0;
   uint64_t wal_fsyncs = 0;
+  uint64_t wal_log_ns = 0;   // Building page records at log points.
+  uint64_t wal_sync_ns = 0;  // Writing and syncing drained groups.
 
   double PagesPerBatch() const {
     return read_batches == 0 ? 0.0

@@ -48,9 +48,19 @@ std::unique_ptr<ShardedBufferPool> ShardedBufferPool::MakeLru(
   return std::make_unique<ShardedBufferPool>(store, capacity, options);
 }
 
+void ShardedBufferPool::WaitForFrame(Shard& s,
+                                     std::unique_lock<std::mutex>& lock,
+                                     PageId id) {
+  if (s.pool->CanPin(id)) return;
+  ++s.waiters;
+  s.released.wait_for(lock, kPinWait, [&] { return s.pool->CanPin(id); });
+  --s.waiters;
+}
+
 Result<PageGuard> ShardedBufferPool::Fetch(PageId id) {
   Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::unique_lock<std::mutex> lock(s.mu);
+  WaitForFrame(s, lock, id);
   RTB_ASSIGN_OR_RETURN(FrameId f, s.pool->PinPage(id));
   return PageGuard(this, Frame{id, s.pool->FrameData(f), f},
                    /*mark_dirty=*/false);
@@ -58,7 +68,8 @@ Result<PageGuard> ShardedBufferPool::Fetch(PageId id) {
 
 Result<PageGuard> ShardedBufferPool::FetchMutable(PageId id) {
   Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::unique_lock<std::mutex> lock(s.mu);
+  WaitForFrame(s, lock, id);
   RTB_ASSIGN_OR_RETURN(FrameId f, s.pool->PinPage(id));
   return PageGuard(this, Frame{id, s.pool->FrameData(f), f},
                    /*mark_dirty=*/true);
@@ -107,6 +118,7 @@ Result<std::vector<PageGuard>> ShardedBufferPool::FetchBatch(
                         /*dirty=*/false);
         }
       }
+      NotifyRelease(s);
       break;
     }
     for (const BufferPool::BatchEntry& e : run) {
@@ -126,7 +138,8 @@ Result<PageGuard> ShardedBufferPool::NewPage() {
   // the shard its id hashes to.
   RTB_ASSIGN_OR_RETURN(PageId id, store_->Allocate());
   Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  std::unique_lock<std::mutex> lock(s.mu);
+  WaitForFrame(s, lock, id);
   RTB_ASSIGN_OR_RETURN(FrameId f, s.pool->InstallNewPage(id));
   return PageGuard(this, Frame{id, s.pool->FrameData(f), f},
                    /*mark_dirty=*/true);
@@ -138,6 +151,7 @@ void ShardedBufferPool::Unpin(const Frame& frame, bool dirty) {
   Shard& s = *shards_[ShardOf(frame.page_id)];
   std::lock_guard<std::mutex> lock(s.mu);
   s.pool->Unpin(frame, dirty);
+  NotifyRelease(s);
 }
 
 Status ShardedBufferPool::PinPermanently(PageId id) {
@@ -149,7 +163,9 @@ Status ShardedBufferPool::PinPermanently(PageId id) {
 Status ShardedBufferPool::UnpinPermanently(PageId id) {
   Shard& s = *shards_[ShardOf(id)];
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.pool->UnpinPermanently(id);
+  RTB_RETURN_IF_ERROR(s.pool->UnpinPermanently(id));
+  NotifyRelease(s);
+  return Status::OK();
 }
 
 size_t ShardedBufferPool::num_permanent_pins() const {
@@ -187,11 +203,11 @@ void ShardedBufferPool::AttachWal(WalWriter* wal) {
 
 Status ShardedBufferPool::WalCommit() {
   if (wal_ == nullptr) return Status::OK();
-  // Image every shard's modified pages first, then one commit record
+  // Log every shard's modified pages first, then one commit record
   // covers the whole pool's batch.
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->pool->WalLogDirtyImages();
+    shard->pool->WalLogDirtyFrames();
   }
   RTB_ASSIGN_OR_RETURN(Lsn lsn, wal_->Commit(store_->num_pages()));
   (void)lsn;

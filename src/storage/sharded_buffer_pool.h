@@ -18,10 +18,17 @@
 //     exactly.
 //   * PageGuard is thread-safe here: guards may be released on any thread;
 //     pin counts are atomic and the release re-takes the owning shard lock.
+//   * A single-page pin (Fetch, FetchMutable, NewPage) that finds every
+//     frame of its shard pinned waits up to kPinWait for a release there
+//     before failing with ResourceExhausted: pins held by other threads
+//     (two searches meeting in a one-frame shard) are transient. FetchBatch
+//     still fails at once.
 
 #ifndef RTB_STORAGE_SHARDED_BUFFER_POOL_H_
 #define RTB_STORAGE_SHARDED_BUFFER_POOL_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,6 +58,11 @@ class ShardedBufferPool final : public PageCache {
   };
 
   static constexpr size_t kDefaultShards = 16;
+
+  /// Longest a single-page pin waits for a frame of its shard to be
+  /// released. Bounds the wait of a caller that itself holds every frame of
+  /// the shard, which no other thread can unblock.
+  static constexpr std::chrono::milliseconds kPinWait{1000};
 
   /// The pool does not own `store`; it must outlive the pool.
   ShardedBufferPool(PageStore* store, size_t capacity, Options options);
@@ -98,7 +110,7 @@ class ShardedBufferPool final : public PageCache {
   }
 
   /// WAL surface: the writer is shared (it is internally synchronized);
-  /// each shard logs its own images under its own lock, and a commit or
+  /// each shard logs its own pages under its own lock, and a commit or
   /// checkpoint writes ONE record for the whole pool — batch atomicity is
   /// pool-wide, not per-shard.
   void AttachWal(WalWriter* wal) override;
@@ -120,7 +132,22 @@ class ShardedBufferPool final : public PageCache {
   struct Shard {
     mutable std::mutex mu;
     std::unique_ptr<BufferPool> pool;
+    // Signalled when a frame may have become available; `waiters` (guarded
+    // by mu) counts the pins blocked on it, so releases skip the notify
+    // when nobody waits.
+    std::condition_variable released;
+    uint32_t waiters = 0;
   };
+
+  // With `lock` holding s.mu: returns once s can serve a pin of `id`, or
+  // after kPinWait, whichever is first. The pin that follows reports
+  // ResourceExhausted if the wait timed out.
+  static void WaitForFrame(Shard& s, std::unique_lock<std::mutex>& lock,
+                           PageId id);
+  // With s.mu held: wakes the pins waiting on s, if any.
+  static void NotifyRelease(Shard& s) {
+    if (s.waiters > 0) s.released.notify_all();
+  }
 
   size_t ShardOf(PageId id) const {
     // SplitMix64 finalizer: consecutive page ids (an R-tree level laid out

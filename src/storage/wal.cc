@@ -1,11 +1,13 @@
 #include "storage/wal.h"
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,35 +33,151 @@ constexpr size_t kWalHeaderSize = sizeof(WalDiskHeader);
 // Sanity bound while scanning: no record's payload exceeds this (pages are
 // a few KiB; logical payloads are tiny). Anything larger is torn garbage.
 constexpr uint32_t kMaxWalPayload = 1u << 24;
-// iovec count per writev call; groups larger than this chunk (far below
-// IOV_MAX everywhere).
-constexpr size_t kMaxWalIov = 512;
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
-  static bool initialized = [] {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
+// The frame header and the slice-by-8 loads below are little-endian, like
+// every host this builds for.
+static_assert(std::endian::native == std::endian::little);
+
+// Slice-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups advance the CRC over eight bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
     }
-    return true;
-  }();
-  (void)initialized;
-  return table;
+  }
+  return t;
+}
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
+// First index in [i, n) where a and b differ (n when none).
+size_t NextDiff(const uint8_t* a, const uint8_t* b, size_t i, size_t n) {
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t x = Load64(a + i) ^ Load64(b + i);
+    if (x != 0) return i + (std::countr_zero(x) >> 3);
+  }
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+// First index in [i, n) where a and b agree (n when none). A zero byte of
+// the XOR marks an equal byte; the classic has-zero-byte mask flags the
+// lowest one exactly.
+size_t NextEqual(const uint8_t* a, const uint8_t* b, size_t i, size_t n) {
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t x = Load64(a + i) ^ Load64(b + i);
+    const uint64_t zero =
+        (x - 0x0101010101010101ull) & ~x & 0x8080808080808080ull;
+    if (zero != 0) return i + (std::countr_zero(zero) >> 3);
+  }
+  while (i < n && a[i] != b[i]) ++i;
+  return i;
+}
+
+// The changed runs of `before` vs `after` as (offset, length), with runs
+// whose gap is shorter than a run header merged.
+void DiffRuns(const uint8_t* before, const uint8_t* after, size_t n,
+              std::vector<std::pair<uint32_t, uint32_t>>* runs) {
+  runs->clear();
+  size_t start = NextDiff(before, after, 0, n);
+  while (start < n) {
+    size_t end = NextEqual(before, after, start, n);
+    size_t next = n;
+    while (end < n) {
+      next = NextDiff(before, after, end, n);
+      if (next == n || next - end >= kWalRunHeaderSize) break;
+      end = NextEqual(before, after, next, n);
+      next = n;
+    }
+    runs->emplace_back(static_cast<uint32_t>(start),
+                       static_cast<uint32_t>(end - start));
+    start = next;
+  }
+}
+
+}  // namespace
+
 uint32_t Crc32(uint32_t crc, const uint8_t* data, size_t len) {
-  const uint32_t* table = Crc32Table();
   crc = ~crc;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    uint32_t lo;
+    uint32_t hi;
+    std::memcpy(&lo, data, sizeof(lo));
+    std::memcpy(&hi, data + 4, sizeof(hi));
+    lo ^= crc;
+    crc = kCrcTables[7][lo & 0xFFu] ^ kCrcTables[6][(lo >> 8) & 0xFFu] ^
+          kCrcTables[5][(lo >> 16) & 0xFFu] ^ kCrcTables[4][lo >> 24] ^
+          kCrcTables[3][hi & 0xFFu] ^ kCrcTables[2][(hi >> 8) & 0xFFu] ^
+          kCrcTables[1][(hi >> 16) & 0xFFu] ^ kCrcTables[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = kCrcTables[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }
+
+Status DecodePageRuns(const WalRecord& record, size_t page_size,
+                      std::vector<WalRun>* runs) {
+  runs->clear();
+  const std::vector<uint8_t>& p = record.payload;
+  switch (record.type) {
+    case WalRecordType::kPageImage:
+    case WalRecordType::kBeforeImage: {
+      if (p.size() != page_size) {
+        return Status::Corruption("wal: full-page record is not one page");
+      }
+      WalRun run;
+      run.length = static_cast<uint32_t>(page_size);
+      (record.type == WalRecordType::kPageImage ? run.new_bytes
+                                                : run.old_bytes) = p.data();
+      runs->push_back(run);
+      return Status::OK();
+    }
+    case WalRecordType::kPageDelta:
+      break;
+    default:
+      return Status::Corruption("wal: not a page record");
+  }
+  size_t pos = 0;
+  while (pos < p.size()) {
+    if (p.size() - pos < kWalRunHeaderSize) {
+      return Status::Corruption("wal: run header overflows the payload");
+    }
+    WalRun run;
+    std::memcpy(&run.offset, p.data() + pos, sizeof(run.offset));
+    std::memcpy(&run.length, p.data() + pos + 4, sizeof(run.length));
+    pos += kWalRunHeaderSize;
+    if (run.length == 0 ||
+        uint64_t{run.offset} + run.length > uint64_t{page_size}) {
+      return Status::Corruption("wal: run overflows the page");
+    }
+    if ((p.size() - pos) / 2 < run.length) {
+      return Status::Corruption("wal: run overflows the payload");
+    }
+    run.old_bytes = p.data() + pos;
+    run.new_bytes = run.old_bytes + run.length;
+    pos += 2 * size_t{run.length};
+    runs->push_back(run);
+  }
+  if (runs->empty()) return Status::Corruption("wal: page record has no runs");
+  return Status::OK();
+}
+
+namespace {
 
 bool InitialWal() {
 #if defined(RTB_WAL_ENABLED)
@@ -131,36 +249,72 @@ WalWriter::~WalWriter() {
   }
 }
 
-Lsn WalWriter::AppendLocked(WalRecordType type, PageId page_id,
-                            const uint8_t* payload, size_t len) {
-  const Lsn lsn = next_lsn_++;
-  std::vector<uint8_t> rec(kWalHeaderSize + len);
+size_t WalWriter::BeginFrame(WalRecordType type, PageId page_id,
+                             size_t payload_len) {
   WalDiskHeader header;
   header.crc = 0;
-  header.payload_len = static_cast<uint32_t>(len);
-  header.lsn = lsn;
+  header.payload_len = static_cast<uint32_t>(payload_len);
+  header.lsn = next_lsn_;
   header.type = static_cast<uint32_t>(type);
   header.page_id = page_id;
-  std::memcpy(rec.data(), &header, kWalHeaderSize);
-  if (len > 0) std::memcpy(rec.data() + kWalHeaderSize, payload, len);
-  const uint32_t crc =
-      Crc32(0, rec.data() + sizeof(uint32_t), rec.size() - sizeof(uint32_t));
-  std::memcpy(rec.data(), &crc, sizeof(crc));
+  const size_t frame_start = pending_.size();
+  const auto* bytes = reinterpret_cast<const uint8_t*>(&header);
+  pending_.insert(pending_.end(), bytes, bytes + kWalHeaderSize);
+  return frame_start;
+}
+
+Lsn WalWriter::FinishFrame(size_t frame_start) {
+  uint8_t* frame = pending_.data() + frame_start;
+  const size_t frame_len = pending_.size() - frame_start;
+  const uint32_t crc = Crc32(0, frame + sizeof(uint32_t),
+                             frame_len - sizeof(uint32_t));
+  std::memcpy(frame, &crc, sizeof(crc));
+  const Lsn lsn = next_lsn_++;
   buffered_lsn_ = lsn;
   ++stats_.records;
-  stats_.bytes += rec.size();
-  pending_.push_back(std::move(rec));
+  stats_.bytes += frame_len;
   return lsn;
 }
 
-Lsn WalWriter::AppendPageImage(PageId id, const uint8_t* data, size_t len) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(WalRecordType::kPageImage, id, data, len);
+Lsn WalWriter::AppendLocked(WalRecordType type, PageId page_id,
+                            const uint8_t* payload, size_t len) {
+  const size_t frame_start = BeginFrame(type, page_id, len);
+  pending_.insert(pending_.end(), payload, payload + len);
+  return FinishFrame(frame_start);
 }
 
-Lsn WalWriter::AppendBeforeImage(PageId id, const uint8_t* data, size_t len) {
+Lsn WalWriter::AppendDeltaLocked(PageId page_id, const uint8_t* before,
+                                 const uint8_t* after, size_t page_size) {
+  DiffRuns(before, after, page_size, &runs_);
+  if (runs_.empty()) return kNoLsn;
+  size_t payload_len = 0;
+  for (const auto& [offset, length] : runs_) {
+    payload_len += kWalRunHeaderSize + 2 * size_t{length};
+  }
+  const size_t frame_start =
+      BeginFrame(WalRecordType::kPageDelta, page_id, payload_len);
+  for (const auto& [offset, length] : runs_) {
+    uint32_t run_header[2] = {offset, length};
+    const auto* h = reinterpret_cast<const uint8_t*>(run_header);
+    pending_.insert(pending_.end(), h, h + kWalRunHeaderSize);
+    pending_.insert(pending_.end(), before + offset, before + offset + length);
+    pending_.insert(pending_.end(), after + offset, after + offset + length);
+  }
+  return FinishFrame(frame_start);
+}
+
+void WalWriter::AppendPageDeltas(PageDelta* deltas, size_t n,
+                                 size_t page_size) {
   std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(WalRecordType::kBeforeImage, id, data, len);
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < n; ++i) {
+    deltas[i].lsn = AppendDeltaLocked(deltas[i].page_id, deltas[i].before,
+                                      deltas[i].after, page_size);
+  }
+  stats_.log_ns += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
 }
 
 Lsn WalWriter::AppendLogicalUpdate(const uint8_t* data, size_t len) {
@@ -211,13 +365,17 @@ Status WalWriter::EnsureDurable(Lsn lsn) {
 Status WalWriter::DrainLocked(std::unique_lock<std::mutex>& lk) {
   if (pending_.empty()) return Status::OK();
   sync_in_progress_ = true;
-  std::vector<std::vector<uint8_t>> batch = std::move(pending_);
-  pending_.clear();
+  draining_.swap(pending_);
   const Lsn target = buffered_lsn_;
   lk.unlock();
-  Status s = WriteAndSync(batch);
+  const auto start = std::chrono::steady_clock::now();
+  Status s = WriteAndSync(draining_);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
   lk.lock();
+  draining_.clear();
   sync_in_progress_ = false;
+  stats_.sync_ns += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   if (s.ok()) {
     ++stats_.fsyncs;
     if (target > durable_lsn_.load(std::memory_order_relaxed)) {
@@ -230,47 +388,23 @@ Status WalWriter::DrainLocked(std::unique_lock<std::mutex>& lk) {
   return s;
 }
 
-Status WalWriter::WriteAndSync(
-    const std::vector<std::vector<uint8_t>>& batch) {
-  size_t total = 0;
-  for (const auto& rec : batch) total += rec.size();
+Status WalWriter::WriteAndSync(const std::vector<uint8_t>& group) {
+  const size_t total = group.size();
   size_t allowed = total;
   if (options_.fault_hook != nullptr) {
     allowed = std::min(options_.fault_hook->BeforeWrite(total), total);
   }
-  // Gather the allowed prefix into iovecs; one pwritev in the common case,
-  // chunked and partial-write-safe in general.
-  std::vector<struct iovec> iov;
-  iov.reserve(batch.size());
-  size_t budget = allowed;
-  for (const auto& rec : batch) {
-    if (budget == 0) break;
-    const size_t len = std::min(budget, rec.size());
-    iov.push_back({const_cast<uint8_t*>(rec.data()), len});
-    budget -= len;
-  }
-  off_t off = static_cast<off_t>(file_size_);
-  size_t idx = 0;
-  while (idx < iov.size()) {
-    const int cnt = static_cast<int>(
-        std::min(iov.size() - idx, kMaxWalIov));
-    const ssize_t put = ::pwritev(fd_, iov.data() + idx, cnt, off);
+  // One pwrite in the common case, partial-write-safe in general.
+  size_t done = 0;
+  while (done < allowed) {
+    const ssize_t put =
+        ::pwrite(fd_, group.data() + done, allowed - done,
+                 static_cast<off_t>(file_size_ + done));
     if (put < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(path_ + ": wal write failed");
     }
-    off += put;
-    size_t adv = static_cast<size_t>(put);
-    while (adv > 0 && idx < iov.size()) {
-      if (adv >= iov[idx].iov_len) {
-        adv -= iov[idx].iov_len;
-        ++idx;
-      } else {
-        iov[idx].iov_base = static_cast<uint8_t*>(iov[idx].iov_base) + adv;
-        iov[idx].iov_len -= adv;
-        adv = 0;
-      }
-    }
+    done += static_cast<size_t>(put);
   }
   file_size_ += allowed;
   if (allowed < total) {

@@ -1,29 +1,33 @@
 // Write-ahead logging for the durable write path.
 //
 // WalWriter appends length+CRC32-framed records to a log file and makes
-// them durable in groups: records accumulate in memory, and a *sync point*
-// drains everything buffered with one writev + one fdatasync. Commit
-// records trigger a sync point every `group_commit_window` commits, and
-// EnsureDurable() lets the buffer pools force one before writing a page
-// whose latest logged image is not yet durable (the WAL-before-data rule).
-// Concurrent committers coalesce: the first caller to need durability
-// becomes the leader and drains the whole buffer; waiters observe their LSN
-// covered and return without issuing I/O of their own.
+// them durable in groups: records accumulate in one contiguous in-memory
+// buffer, and a *sync point* drains everything buffered with one write +
+// one fdatasync. Commit records trigger a sync point every
+// `group_commit_window` commits, and EnsureDurable() lets the buffer pools
+// force one before writing a page whose latest logged record is not yet
+// durable (the WAL-before-data rule). Concurrent committers coalesce: the
+// first caller to need durability becomes the leader and drains the whole
+// buffer; waiters observe their LSN covered and return without issuing I/O
+// of their own.
 //
 // Buffering in memory (rather than appending to the fd and deferring only
 // the fdatasync) is a deliberate choice: a record that has not reached a
 // sync point is genuinely absent from the file, so the crash-simulation
 // tests get real torn-tail behavior without a kernel crash.
 //
-// The record set is physiological: full-page after-images (kPageImage) are
-// the redo log, full-page before-images (kBeforeImage, captured at the
-// first modification of a page since the last commit) are the undo log,
-// and kCommit marks batch atomicity boundaries. Recovery (FilePageStore::
-// OpenWithRecovery) replays committed after-images in LSN order, rolls the
-// uncommitted suffix back through its before-images in reverse, and
-// discards the torn tail by CRC. kCheckpoint records let the log truncate:
-// the writer restarts the file at a checkpoint because the caller has
-// already flushed and fsynced every logged page into the data file.
+// The record set is physiological: a page record (kPageDelta) holds the
+// byte runs a page changed between two log points, each with its old and
+// new bytes, so one record is both the redo and the undo log for that
+// change; kCommit marks batch atomicity boundaries. Recovery (FilePageStore::
+// OpenWithRecovery) replays the new bytes of committed records in LSN
+// order, rolls the uncommitted suffix back through the old bytes in
+// reverse, and discards the torn tail by CRC. kCheckpoint records let the
+// log truncate: the writer restarts the file at a checkpoint because the
+// caller has already flushed and fsynced every logged page into the data
+// file. Logs written before kPageDelta existed hold full-page after-images
+// (kPageImage) and before-images (kBeforeImage); the reader still decodes
+// them, as one whole-page run each, and the writer no longer emits them.
 //
 // The seam follows the repo pattern (vectored/async I/O): the RTB_WAL
 // CMake option gates availability, the RTB_WAL environment variable (1|on)
@@ -41,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/page.h"
@@ -62,32 +67,78 @@ bool WalActive();
 /// nothing) when enabling is requested but the binary lacks the WAL.
 bool SetWal(bool on);
 
+/// CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, init and xorout
+/// 0xFFFFFFFF) of `data`, continuing from `crc` (0 to start). Slice-by-8:
+/// eight bytes per step through an 8x256 table. Every log frame carries
+/// this checksum.
+uint32_t Crc32(uint32_t crc, const uint8_t* data, size_t len);
+
 enum class WalRecordType : uint32_t {
-  kPageImage = 1,      // Redo: full page after-image.
-  kBeforeImage = 2,    // Undo: full page image before its first dirtying.
+  kPageImage = 1,      // Legacy redo: full page after-image (read only).
+  kBeforeImage = 2,    // Legacy undo: full page before-image (read only).
   kLogicalUpdate = 3,  // Opaque description of a logical batch (not replayed).
   kCommit = 4,         // Batch atomicity boundary; payload = page count.
   kCheckpoint = 5,     // Log restart point; payload = page count.
+  kPageDelta = 6,      // Redo + undo: changed byte runs, old and new bytes.
 };
 
 /// One decoded log record (WalReader::Next).
 struct WalRecord {
   WalRecordType type = WalRecordType::kLogicalUpdate;
   Lsn lsn = kNoLsn;
-  PageId page_id = kInvalidPageId;  // Image records only.
+  PageId page_id = kInvalidPageId;  // Page records only.
   uint64_t num_pages = 0;           // Commit/checkpoint records only.
-  std::vector<uint8_t> payload;     // Page bytes or logical payload.
+  std::vector<uint8_t> payload;     // Runs, page bytes or logical payload.
+};
+
+/// Size of a kPageDelta run header: u32 offset, u32 length. The writer
+/// merges two changed runs whose gap is shorter than this, since a separate
+/// run would cost a header anyway.
+inline constexpr size_t kWalRunHeaderSize = 8;
+
+/// One byte run of a page record: `length` bytes at `offset`, with the
+/// bytes before (`old_bytes`, undo) and after (`new_bytes`, redo) the
+/// change. Pointers alias the record's payload; a side is null when the
+/// record does not carry it (legacy full-page records carry one side).
+struct WalRun {
+  uint32_t offset = 0;
+  uint32_t length = 0;
+  const uint8_t* old_bytes = nullptr;
+  const uint8_t* new_bytes = nullptr;
+};
+
+/// Decodes the runs of a page record (kPageDelta, or a legacy kPageImage /
+/// kBeforeImage as one whole-page run) for pages of `page_size` bytes.
+/// Corruption when a run overflows the page or the payload, a delta holds
+/// no runs or an empty one, a full-page payload is not one page, or the
+/// record is not a page record.
+Status DecodePageRuns(const WalRecord& record, size_t page_size,
+                      std::vector<WalRun>* runs);
+
+/// One page at a log point (WalWriter::AppendPageDeltas): its content at
+/// the previous log point (`before`) and now (`after`).
+struct PageDelta {
+  PageId page_id = kInvalidPageId;
+  const uint8_t* before = nullptr;
+  const uint8_t* after = nullptr;
+  /// Out: LSN of the page's record; kNoLsn when no byte changed and
+  /// nothing was logged.
+  Lsn lsn = kNoLsn;
 };
 
 /// Cumulative WalWriter counters. `fsyncs` counts durability points (one
 /// per drained group), and advances even when the DurableSync seam has
 /// turned the actual fdatasync syscall off — so fsync-per-commit
-/// assertions are deterministic on any filesystem.
+/// assertions are deterministic on any filesystem. `log_ns` is time spent
+/// building page records at log points (diff, serialize, CRC); `sync_ns`
+/// is time spent writing drained groups and syncing them.
 struct WalStats {
   uint64_t records = 0;
   uint64_t bytes = 0;
   uint64_t commits = 0;
   uint64_t fsyncs = 0;
+  uint64_t log_ns = 0;
+  uint64_t sync_ns = 0;
 };
 
 /// Crash-simulation hook for WalWriter (see FaultInjectingPageStore's
@@ -137,13 +188,15 @@ class WalWriter {
 
   ~WalWriter();
 
-  /// Buffer a full-page after-image / before-image. Returns the record's
-  /// LSN; the append itself cannot fail (I/O happens at sync points).
-  Lsn AppendPageImage(PageId id, const uint8_t* data, size_t len);
-  Lsn AppendBeforeImage(PageId id, const uint8_t* data, size_t len);
+  /// Buffers one kPageDelta record per page of `deltas[0..n)` whose
+  /// `page_size` bytes differ between `before` and `after`, and sets each
+  /// entry's `lsn` (kNoLsn for an unchanged page, which logs nothing).
+  /// Changed runs closer than kWalRunHeaderSize merge into one. The
+  /// append itself cannot fail (I/O happens at sync points).
+  void AppendPageDeltas(PageDelta* deltas, size_t n, size_t page_size);
 
   /// Buffer an opaque logical-update record (batch descriptions; recovery
-  /// ignores them, the page images carry the redo/undo content).
+  /// ignores them, the page records carry the redo/undo content).
   Lsn AppendLogicalUpdate(const uint8_t* data, size_t len);
 
   /// Buffer a commit record carrying the store's page count at commit, and
@@ -192,22 +245,38 @@ class WalWriter {
   Lsn AppendLocked(WalRecordType type, PageId page_id, const uint8_t* payload,
                    size_t len);
 
+  // Serializes the kPageDelta record of one page into pending_; returns
+  // its LSN, or kNoLsn when the page did not change. Requires mu_.
+  Lsn AppendDeltaLocked(PageId page_id, const uint8_t* before,
+                        const uint8_t* after, size_t page_size);
+
+  // Starts a frame in pending_ (header with a zero CRC) and returns its
+  // offset; FinishFrame fills in the CRC and the counters. Requires mu_.
+  size_t BeginFrame(WalRecordType type, PageId page_id, size_t payload_len);
+  Lsn FinishFrame(size_t frame_start);
+
   // Leader body of a sync point: takes the whole buffer, writes + syncs it
   // outside the lock, publishes durable_lsn_ (or the sticky error) and
   // wakes waiters. Requires mu_ held via `lk` and !sync_in_progress_.
   Status DrainLocked(std::unique_lock<std::mutex>& lk);
 
-  // One writev (chunked past IOV_MAX) + one fdatasync for the drained
-  // group, applying the fault hook. Runs outside mu_; only the single
-  // in-progress drainer touches file_size_.
-  Status WriteAndSync(const std::vector<std::vector<uint8_t>>& batch);
+  // Writes the drained group (the prefix the fault hook allows, through a
+  // partial-write-safe loop) and fdatasyncs it. Runs outside mu_; only the
+  // single in-progress drainer touches file_size_ and draining_.
+  Status WriteAndSync(const std::vector<uint8_t>& group);
 
   std::string path_;
   int fd_ = -1;
   Options options_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::vector<uint8_t>> pending_;  // Serialized, not yet on disk.
+  // Serialized frames not yet on disk, back to back. A drain swaps the
+  // buffer with draining_ (empty between drains), so appends continue
+  // while the group is written and both keep their capacity.
+  std::vector<uint8_t> pending_;
+  std::vector<uint8_t> draining_;
+  // Changed runs of the page being diffed (offset, length); reused.
+  std::vector<std::pair<uint32_t, uint32_t>> runs_;
   Lsn next_lsn_ = 1;
   Lsn buffered_lsn_ = kNoLsn;  // Last appended.
   std::atomic<Lsn> durable_lsn_{kNoLsn};
@@ -219,7 +288,7 @@ class WalWriter {
 };
 
 /// Sequential reader over a log file. Loads the file at Open (logs are
-/// truncated at every checkpoint, so they stay small) and decodes records
+/// truncated at every checkpoint, so they stay small) and decodes frames
 /// until the clean end or the first frame whose length or CRC does not
 /// check out — a torn tail, which recovery discards.
 class WalReader {

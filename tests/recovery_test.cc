@@ -1,9 +1,16 @@
 // Crash recovery of the durable write path (storage/wal.h +
 // FilePageStore::OpenWithRecovery):
 //
-//   * unit redo/undo — a committed after-image that never reached the store
-//     is replayed; an uncommitted stolen page is rolled back through its
-//     before-image; a garbage log tail is discarded;
+//   * unit redo/undo — a committed change that never reached the store is
+//     replayed; an uncommitted stolen page is rolled back; a garbage log
+//     tail is discarded. Each runs twice: on a log of range records from
+//     WalWriter, and on a hand-built log of the legacy full-page records
+//     (after-images and before-images) an older binary wrote, which
+//     recovery still reads. A record type recovery does not know is
+//     Corruption;
+//   * steal and redo through a real pool — random page changes, new pages
+//     and mid-batch steals, with the process dying before or after the
+//     last commit, recover to exactly the last committed page contents;
 //   * the crash-point property — a deterministic mixed insert/delete
 //     workload is crashed at EVERY I/O operation (store reads, writes,
 //     allocations, syncs, and WAL sync points share one CrashClock budget),
@@ -34,6 +41,7 @@
 #include "storage/fault_injection.h"
 #include "storage/file_page_store.h"
 #include "storage/wal.h"
+#include "wal_frames.h"
 
 namespace rtb::rtree {
 namespace {
@@ -98,24 +106,110 @@ TEST_F(RecoveryTest, OpenWithRecoveryWithoutALogIsAPlainOpen) {
   ASSERT_TRUE((*reopened)->Close().ok());
 }
 
-TEST_F(RecoveryTest, RedoesACommittedImageTheStoreNeverSaw) {
-  const std::string path = Path("redo");
+// The two log formats recovery reads.
+enum class LogFormat { kRange, kFullPage };
+
+// Writes a test log in either format through one surface. kRange goes
+// through WalWriter, exactly as the pools log. kFullPage hand-builds the
+// frames the writer used to emit: a before-image at a page's first change
+// since its last log point and an after-image at the log point.
+class TestLog {
+ public:
+  TestLog(LogFormat format, std::string path)
+      : format_(format), path_(std::move(path)) {
+    std::remove(path_.c_str());
+    if (format_ == LogFormat::kRange) {
+      auto wal = WalWriter::Create(path_);  // Window 1: commit forces.
+      RTB_CHECK(wal.ok());
+      wal_ = std::move(*wal);
+    }
+  }
+
+  void Checkpoint(uint64_t num_pages) {
+    if (wal_ != nullptr) {
+      RTB_CHECK(wal_->Checkpoint(num_pages).ok());
+    } else {
+      Put(WalRecordType::kCheckpoint, storage::kInvalidPageId,
+          testutil::PageCountPayload(num_pages));
+    }
+  }
+
+  // Logs page `id` going from `before` to `after`, durably.
+  void Change(PageId id, const std::vector<uint8_t>& before,
+              const std::vector<uint8_t>& after) {
+    if (wal_ != nullptr) {
+      storage::PageDelta delta;
+      delta.page_id = id;
+      delta.before = before.data();
+      delta.after = after.data();
+      wal_->AppendPageDeltas(&delta, 1, before.size());
+      RTB_CHECK(wal_->EnsureDurable(delta.lsn).ok());
+    } else {
+      Put(WalRecordType::kBeforeImage, id, before);
+      Put(WalRecordType::kPageImage, id, after);
+    }
+  }
+
+  void Commit(uint64_t num_pages) {
+    if (wal_ != nullptr) {
+      RTB_CHECK(wal_->Commit(num_pages).ok());
+    } else {
+      Put(WalRecordType::kCommit, storage::kInvalidPageId,
+          testutil::PageCountPayload(num_pages));
+    }
+  }
+
+  // The process dies: nothing more reaches the log.
+  void Crash() { wal_.reset(); }
+
+ private:
+  void Put(WalRecordType type, PageId id, const std::vector<uint8_t>& body) {
+    RTB_CHECK(testutil::AppendToFile(
+        path_, testutil::WalFrame(static_cast<uint32_t>(type), next_lsn_++,
+                                  id, body)));
+  }
+
+  LogFormat format_;
+  std::string path_;
+  std::unique_ptr<WalWriter> wal_;
+  uint64_t next_lsn_ = 1;
+};
+
+class RecoveryFormatTest : public RecoveryTest,
+                           public ::testing::WithParamInterface<LogFormat> {
+ protected:
+  std::string FormatPath(const char* name) {
+    return Path(name) +
+           (GetParam() == LogFormat::kRange ? "_range" : "_fullpage");
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, RecoveryFormatTest,
+    ::testing::Values(LogFormat::kRange, LogFormat::kFullPage),
+    [](const ::testing::TestParamInfo<LogFormat>& info) {
+      return info.param == LogFormat::kRange ? std::string("Range")
+                                             : std::string("FullPage");
+    });
+
+TEST_P(RecoveryFormatTest, RedoesACommittedImageTheStoreNeverSaw) {
+  const std::string path = FormatPath("redo");
   auto store = FilePageStore::Create(path, kPageSize);
   ASSERT_TRUE(store.ok());
   const std::vector<uint8_t> old_content = PageBytes(10);
-  const std::vector<uint8_t> new_content = PageBytes(200);
+  std::vector<uint8_t> new_content = old_content;
+  for (size_t i = 16; i < 56; ++i) new_content[i] = 0xC3;  // One entry.
   ASSERT_TRUE((*store)->Allocate().ok());
   ASSERT_TRUE((*store)->Write(0, old_content.data()).ok());
   ASSERT_TRUE((*store)->Sync().ok());
 
-  auto wal = WalWriter::Create(path + ".wal");  // Window 1: commit forces.
-  ASSERT_TRUE(wal.ok());
-  (*wal)->AppendPageImage(0, new_content.data(), kPageSize);
-  ASSERT_TRUE((*wal)->Commit(1).ok());
+  TestLog log(GetParam(), path + ".wal");
+  log.Change(0, old_content, new_content);
+  log.Commit(1);
   // Crash before the no-force pool would ever have written the page: the
   // store still holds the old bytes, only the log has the new ones.
   (*store)->Abandon();
-  wal->reset();
+  log.Crash();
 
   WalRecoveryReport report;
   auto recovered = FilePageStore::OpenWithRecovery(path, path + ".wal",
@@ -130,29 +224,27 @@ TEST_F(RecoveryTest, RedoesACommittedImageTheStoreNeverSaw) {
   ASSERT_TRUE((*recovered)->Close().ok());
 }
 
-TEST_F(RecoveryTest, UndoesAnUncommittedStolenPage) {
-  const std::string path = Path("undo");
+TEST_P(RecoveryFormatTest, UndoesAnUncommittedStolenPage) {
+  const std::string path = FormatPath("undo");
   auto store = FilePageStore::Create(path, kPageSize);
   ASSERT_TRUE(store.ok());
   const std::vector<uint8_t> committed = PageBytes(30);
-  const std::vector<uint8_t> stolen = PageBytes(140);
+  std::vector<uint8_t> stolen = committed;
+  stolen[0] = 0x5A;
+  stolen[kPageSize - 1] = 0xA5;
   ASSERT_TRUE((*store)->Allocate().ok());
   ASSERT_TRUE((*store)->Write(0, committed.data()).ok());
   ASSERT_TRUE((*store)->Sync().ok());
 
-  auto wal = WalWriter::Create(path + ".wal");
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE((*wal)->Checkpoint(1).ok());
-  // The steal protocol, by hand: before-image at first dirtying, then the
-  // after-image made durable right before the eviction writes the page —
-  // and then a crash with no commit in sight.
-  (*wal)->AppendBeforeImage(0, committed.data(), kPageSize);
-  const storage::Lsn after = (*wal)->AppendPageImage(0, stolen.data(),
-                                                     kPageSize);
-  ASSERT_TRUE((*wal)->EnsureDurable(after).ok());
+  TestLog log(GetParam(), path + ".wal");
+  log.Checkpoint(1);
+  // The steal protocol, by hand: the page's change made durable right
+  // before the eviction writes the page — and then a crash with no commit
+  // in sight.
+  log.Change(0, committed, stolen);
   ASSERT_TRUE((*store)->Write(0, stolen.data()).ok());
   (*store)->Abandon();
-  wal->reset();
+  log.Crash();
 
   WalRecoveryReport report;
   auto recovered = FilePageStore::OpenWithRecovery(path, path + ".wal",
@@ -166,8 +258,8 @@ TEST_F(RecoveryTest, UndoesAnUncommittedStolenPage) {
   ASSERT_TRUE((*recovered)->Close().ok());
 }
 
-TEST_F(RecoveryTest, DiscardsAGarbageTailAndTruncatesTheLog) {
-  const std::string path = Path("tail");
+TEST_P(RecoveryFormatTest, DiscardsAGarbageTailAndTruncatesTheLog) {
+  const std::string path = FormatPath("tail");
   auto store = FilePageStore::Create(path, kPageSize);
   ASSERT_TRUE(store.ok());
   const std::vector<uint8_t> content = PageBytes(55);
@@ -175,19 +267,15 @@ TEST_F(RecoveryTest, DiscardsAGarbageTailAndTruncatesTheLog) {
   ASSERT_TRUE((*store)->Write(0, content.data()).ok());
   ASSERT_TRUE((*store)->Sync().ok());
 
-  auto wal = WalWriter::Create(path + ".wal");
-  ASSERT_TRUE(wal.ok());
-  (*wal)->AppendPageImage(0, content.data(), kPageSize);
-  ASSERT_TRUE((*wal)->Commit(1).ok());
-  ASSERT_TRUE((*wal)->Close().ok());
   {
-    // A torn group-commit write: garbage after the last whole record.
-    std::FILE* f = std::fopen((path + ".wal").c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    const char junk[] = "torn torn torn";
-    std::fwrite(junk, 1, sizeof(junk), f);
-    std::fclose(f);
+    TestLog log(GetParam(), path + ".wal");
+    log.Change(0, PageBytes(54), content);
+    log.Commit(1);
   }
+  // A torn group-commit write: garbage after the last whole record.
+  const char junk[] = "torn torn torn";
+  ASSERT_TRUE(testutil::AppendToFile(
+      path + ".wal", std::vector<uint8_t>(junk, junk + sizeof(junk))));
   (*store)->Abandon();
 
   WalRecoveryReport report;
@@ -197,6 +285,9 @@ TEST_F(RecoveryTest, DiscardsAGarbageTailAndTruncatesTheLog) {
   EXPECT_TRUE(report.tail_torn);
   EXPECT_GT(report.torn_bytes, 0u);
   EXPECT_EQ(report.redo_pages, 1u);
+  std::vector<uint8_t> read(kPageSize);
+  ASSERT_TRUE((*recovered)->Read(0, read.data()).ok());
+  EXPECT_EQ(read, content);
   ASSERT_TRUE((*recovered)->Close().ok());
 
   // Recovery truncated the log, so a second open has nothing to do.
@@ -207,6 +298,117 @@ TEST_F(RecoveryTest, DiscardsAGarbageTailAndTruncatesTheLog) {
   EXPECT_FALSE(second.tail_torn);
   EXPECT_EQ(second.records_scanned, 0u);
   ASSERT_TRUE((*again)->Close().ok());
+}
+
+TEST_F(RecoveryTest, AnUnknownRecordTypeIsCorruption) {
+  const std::string path = Path("unknown_type");
+  auto store = FilePageStore::Create(path, kPageSize);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Allocate().ok());
+  ASSERT_TRUE((*store)->Sync().ok());
+  (*store)->Abandon();
+  const std::string wal_path = path + ".wal";
+  std::remove(wal_path.c_str());
+  // A whole frame with a good CRC: not a torn tail, so recovery must not
+  // skip it.
+  ASSERT_TRUE(testutil::AppendToFile(
+      wal_path,
+      testutil::WalFrame(static_cast<uint32_t>(WalRecordType::kCheckpoint), 1,
+                         storage::kInvalidPageId,
+                         testutil::PageCountPayload(1))));
+  ASSERT_TRUE(testutil::AppendToFile(
+      wal_path, testutil::WalFrame(99, 2, 0, PageBytes(1))));
+
+  auto recovered = FilePageStore::OpenWithRecovery(path, wal_path);
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption)
+      << recovered.status().ToString();
+}
+
+// Steal, undo and redo through a real pool: pages changed by short runs,
+// whole-page rewrites and FetchMutable calls that change nothing, new pages
+// allocated, and a 4-frame pool stealing pages mid-batch, re-reading them
+// and changing them again. The process then dies, with the last batch
+// committed (even seeds: its pages only in the log) or not (odd seeds: its
+// stolen pages already in the store). Recovery must leave the store exactly
+// as the last commit left it.
+TEST_F(RecoveryTest, StolenAndUnflushedPagesRecoverToTheLastCommit) {
+  uint64_t steals = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string path = Path("steal_undo");
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+    auto store = FilePageStore::Create(path, kPageSize);
+    ASSERT_TRUE(store.ok());
+    auto wal = WalWriter::Create(path + ".wal");
+    ASSERT_TRUE(wal.ok());
+    std::unique_ptr<BufferPool> pool = BufferPool::MakeLru(store->get(), 4);
+    pool->AttachWal(wal->get());
+    Rng rng(seed);
+    const auto random_fill = [&](uint8_t* d, size_t from, size_t len) {
+      for (size_t i = from; i < from + len; ++i) {
+        d[i] = static_cast<uint8_t>(rng.UniformInt(256));
+      }
+    };
+    std::vector<std::vector<uint8_t>> pages;  // Content in the pool.
+    const auto new_page = [&] {
+      auto g = pool->NewPage();
+      ASSERT_TRUE(g.ok());
+      const size_t from = rng.UniformInt(kPageSize / 2);
+      random_fill(g->mutable_data(), from, 1 + rng.UniformInt(64));
+      pages.emplace_back(g->data(), g->data() + kPageSize);
+    };
+    for (int i = 0; i < 6; ++i) new_page();
+    ASSERT_TRUE(pool->WalCheckpoint().ok());
+    std::vector<std::vector<uint8_t>> committed = pages;
+
+    const int batches = 5;
+    const bool last_commits = seed % 2 == 0;
+    for (int b = 0; b < batches; ++b) {
+      for (int op = 0; op < 24; ++op) {
+        const uint64_t kind = rng.UniformInt(10);
+        if (kind == 0) {
+          new_page();
+          continue;
+        }
+        const auto id = static_cast<PageId>(rng.UniformInt(pages.size()));
+        auto g = pool->FetchMutable(id);
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        uint8_t* d = g->mutable_data();
+        if (kind == 2) {
+          random_fill(d, 0, kPageSize);
+        } else if (kind > 2) {
+          const size_t from = rng.UniformInt(kPageSize);
+          random_fill(d, from,
+                      1 + rng.UniformInt(std::min<size_t>(48, kPageSize - from)));
+        }  // kind == 1: fetched for writing, left unchanged.
+        pages[id].assign(d, d + kPageSize);
+      }
+      if (b + 1 < batches || last_commits) {
+        ASSERT_TRUE(pool->WalCommit().ok());
+        committed = pages;
+      }
+    }
+    steals += pool->AggregateStats().writebacks;
+    // Death: dirty frames vanish, nothing is flushed or checkpointed.
+    pool->DiscardAll();
+    pool.reset();
+    wal->reset();
+    (*store)->Abandon();
+
+    WalRecoveryReport report;
+    auto recovered =
+        FilePageStore::OpenWithRecovery(path, path + ".wal", &report);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ASSERT_EQ((*recovered)->num_pages(), committed.size());
+    std::vector<uint8_t> read(kPageSize);
+    for (PageId id = 0; id < committed.size(); ++id) {
+      ASSERT_TRUE((*recovered)->Read(id, read.data()).ok());
+      EXPECT_EQ(read, committed[id]) << "page " << id;
+    }
+    ASSERT_TRUE((*recovered)->Close().ok());
+  }
+  EXPECT_GT(steals, 100u);  // The pool really did steal mid-batch.
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 // round-trips, the coalescing determinism contract (N concurrent clients
 // produce the same node accesses and BufferStats as one offline
 // BatchExecutor run over the same request multiset), backpressure,
-// protocol-error handling on a live socket, and the graceful-shutdown
+// protocol-error handling on a live socket, a sub-millisecond coalescing
+// window held to its length, and the graceful-shutdown
 // fix-path (drain + WAL checkpoint + PR 8 close order => a clean,
 // nothing-to-redo log under OpenWithRecovery).
 //
@@ -17,6 +18,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -146,6 +148,34 @@ TEST(ServerTest, RoundTripsEveryRequestType) {
 // served, must equal the same query with the open axis widened to the full
 // data domain, and the capability must be advertised in STATS so clients
 // can probe before sending frames old servers reject.
+// A coalescing window below 1 ms is honoured: an idle server holding one
+// request waits out `max_wait_us`, not a whole millisecond rounded up.
+TEST(ServerTest, SubMillisecondCoalescingWindowIsHonoured) {
+  auto stack = ServingStack::Open(SmallSpec());
+  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+  ServerOptions options;
+  options.max_wait_us = 200;
+  Server server(stack->get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  ServeThread serving(&server);
+
+  auto client = Client::Connect(server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::vector<Rect> queries = MakeQueries(50, 17);
+  std::vector<double> reply_us;
+  for (const Rect& q : queries) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE((*client)->Search(q).ok());
+    reply_us.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  std::nth_element(reply_us.begin(), reply_us.begin() + 25, reply_us.end());
+  EXPECT_LT(reply_us[25], 900.0);
+  serving.Stop();
+  EXPECT_TRUE(serving.status().ok()) << serving.status().ToString();
+}
+
 TEST(ServerTest, OpenBoundSearchServedAndAdvertised) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   auto stack = ServingStack::Open(SmallSpec());
@@ -518,6 +548,13 @@ TEST(ServerTest, GracefulShutdownLeavesCleanWal) {
       ASSERT_TRUE(reply.ok());
       ASSERT_TRUE(reply->ok());
     }
+    // STATS reports where the WAL's time went: building page records at
+    // log points, and writing + syncing drained groups.
+    auto stats = (*client)->WaitFor((*client)->QueueStats());
+    ASSERT_TRUE(stats.ok());
+    ASSERT_TRUE(stats->ok());
+    EXPECT_NE(stats->text.find("\"log_ns\""), std::string::npos);
+    EXPECT_NE(stats->text.find("\"sync_ns\""), std::string::npos);
 
     serving.Stop();
     ASSERT_TRUE(serving.status().ok());

@@ -229,6 +229,47 @@ TEST(ShardedBufferPoolConcurrencyTest, ConcurrentFetchReleaseCountsAreExact) {
   EXPECT_EQ(pool->num_permanent_pins(), 2u);
 }
 
+TEST(ShardedBufferPoolConcurrencyTest, PinsMeetingInOneFrameShardWait) {
+  // One shard of one frame, each thread holding one pin at a time: a fetch
+  // that finds the frame pinned by the other thread waits for its release
+  // instead of failing with ResourceExhausted.
+  constexpr int kThreads = 2;
+  constexpr int kOpsPerThread = 5000;
+  auto store = MakeStore(8);
+  auto pool = ShardedBufferPool::MakeLru(store.get(), 1, 1);
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &failures, t] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const PageId p = static_cast<PageId>(2 * (i % 4) + t);
+        auto g = pool->Fetch(p);
+        if (!g.ok() || g->data()[0] != static_cast<uint8_t>(p)) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(pool->AggregateStats().requests,
+            static_cast<uint64_t>(kThreads) * kOpsPerThread);
+}
+
+TEST(ShardedBufferPoolTest, OwnPinsStillExhaustAfterBoundedWait) {
+  // The caller itself holds the shard's only frame: nobody can release it,
+  // so the fetch gives up after kPinWait rather than hanging.
+  auto store = MakeStore(4);
+  auto pool = ShardedBufferPool::MakeLru(store.get(), 1, 1);
+  auto held = pool->Fetch(0);
+  ASSERT_TRUE(held.ok());
+  auto blocked = pool->Fetch(1);
+  ASSERT_FALSE(blocked.ok());
+  EXPECT_EQ(blocked.status().code(), StatusCode::kResourceExhausted);
+  held->Release();
+  EXPECT_TRUE(pool->Fetch(1).ok());
+}
+
 TEST(ShardedBufferPoolConcurrencyTest, ConcurrentWritersToDisjointPages) {
   // Each thread mutates its own page range through the shared pool; after a
   // flush the store must hold every thread's last write (this would race —
